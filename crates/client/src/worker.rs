@@ -10,10 +10,18 @@
 //! 2. Optionally warm-start the local result store from the
 //!    coordinator's snapshot (`GET /v1/store/snapshot`).
 //! 3. Long-poll `POST /v1/workers/{id}/lease`; every fleet call doubles
-//!    as a liveness signal, and while cells execute a background
-//!    heartbeat keeps the registration alive.
-//! 4. Simulate each leased cell ([`simdsim_sweep::execute_cell`]),
-//!    consulting the local store first, and report the batch.
+//!    as a liveness signal, and while cells execute the loop heartbeats
+//!    to keep the registration alive.
+//! 4. Hand the leased cells to the worker's simulation slots and report
+//!    the batch.  Slots are long-lived threads owned by the worker loop,
+//!    started on demand (never more than the largest lease, nor
+//!    `slots`), so the simulator's per-thread machine, pipeline and
+//!    decode memo stay warm from one lease to the next.  Each slot
+//!    consults the local store, then simulates
+//!    ([`simdsim_sweep::execute_cell`]) under `catch_unwind`: a panicking
+//!    cell becomes an error result and the slot lives on.  Completion is
+//!    event-driven — the loop blocks on the slots' result channel and
+//!    wakes only to heartbeat when the next beat falls due.
 //!
 //! Getting `unknown_worker` (404) anywhere means the coordinator evicted
 //! us (a pause longer than the liveness contract, or a coordinator
@@ -27,11 +35,13 @@ use simdsim_api::{
     ReportRequest, UnitResult,
 };
 use simdsim_obs::now_ms;
-use simdsim_sweep::{cell_key, execute_cell, ResultStore, StoredCell};
-use std::collections::VecDeque;
+use simdsim_sweep::{cell_key, execute_cell, JobPanic, ResultStore, StoredCell};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Everything a worker process needs to join a fleet.
@@ -41,7 +51,8 @@ pub struct WorkerConfig {
     pub addr: String,
     /// Name shown in `sweepctl fleet status`.
     pub name: String,
-    /// Concurrent simulation slots; also the cell count per lease.
+    /// Warm simulation threads (started on demand, kept across leases);
+    /// also the most cells one lease asks for.
     pub slots: u64,
     /// Local content-addressed store (results are checked before
     /// simulating and saved after).  `None` disables caching.
@@ -119,6 +130,11 @@ pub fn run_worker(cfg: &WorkerConfig, stop: &AtomicBool) -> Result<WorkerStats, 
     // how often the stop flag is observed.
     let wait = (heartbeat / 2).max(Duration::from_millis(10));
 
+    let slot_store = store.clone();
+    let mut slots = SlotPool::new(cfg.slots.max(1) as usize, move |leased: LeasedCell| {
+        execute_one(&leased, slot_store.as_ref())
+    });
+
     let mut stats = WorkerStats::default();
     while !stop.load(Ordering::Relaxed) {
         let request = LeaseRequest {
@@ -137,13 +153,7 @@ pub fn run_worker(cfg: &WorkerConfig, stop: &AtomicBool) -> Result<WorkerStats, 
             Err(e) => return Err(e),
         };
         stats.leases += 1;
-        let results = execute_lease(
-            &mut client,
-            reg.worker_id,
-            &lease,
-            store.as_ref(),
-            heartbeat,
-        );
+        let results = execute_lease(&mut client, reg.worker_id, &lease, &mut slots, heartbeat)?;
         for r in &results {
             if r.cached {
                 stats.cached += 1;
@@ -235,43 +245,162 @@ fn top_stall(stack: &simdsim_sweep::CpiStack) -> Option<String> {
         .map(|(label, slots)| format!("{label}:{slots}"))
 }
 
-/// Simulates every cell of one lease, up to `slots` at a time, while the
-/// calling thread heartbeats so a long lease cannot get the worker
-/// evicted mid-execution.
+/// Runs every cell of one lease on the worker's slots, heartbeating
+/// whenever a beat falls due so a long lease cannot get the worker
+/// evicted mid-execution.  Results come back in unit order.
 fn execute_lease(
     client: &mut SimdsimClient,
     worker: u64,
     lease: &Lease,
-    store: Option<&ResultStore>,
+    slots: &mut SlotPool<LeasedCell, UnitResult>,
     heartbeat: Duration,
-) -> Vec<UnitResult> {
-    let queue: Mutex<VecDeque<&LeasedCell>> = Mutex::new(lease.cells.iter().collect());
-    let results: Mutex<Vec<UnitResult>> = Mutex::new(Vec::with_capacity(lease.cells.len()));
-    let threads = lease.cells.len().max(1);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let next = queue.lock().expect("queue lock").pop_front();
-                let Some(leased) = next else { break };
-                let result = execute_one(leased, store);
-                results.lock().expect("results lock").push(result);
-            });
+) -> Result<Vec<UnitResult>, ClientError> {
+    let outcomes = slots.run(lease.cells.clone(), heartbeat, || {
+        // Liveness only; an eviction here surfaces on the next
+        // lease/report call, which re-registers.
+        let _ = client.heartbeat(worker);
+    })?;
+    let mut results: Vec<UnitResult> = lease
+        .cells
+        .iter()
+        .zip(outcomes)
+        .map(|(leased, outcome)| {
+            outcome.unwrap_or_else(|panic| UnitResult {
+                unit: leased.unit,
+                cached: false,
+                wall_ms: 0.0,
+                stats: None,
+                error: Some(panic.to_string()),
+                phases: None,
+            })
+        })
+        .collect();
+    results.sort_by_key(|r| r.unit);
+    Ok(results)
+}
+
+/// One unit of slot work: the item's index in its batch, the item, and
+/// the batch's result channel.  The sender travels with the job, so a
+/// job lost with its slot closes the batch channel instead of leaving the
+/// caller waiting on it.
+type SlotJob<T, R> = (usize, T, Sender<(usize, Result<R, JobPanic>)>);
+
+/// Long-lived simulation threads fed through one work channel.
+///
+/// Threads are started on demand, up to `min(max, largest batch so
+/// far)`, and live until the pool is dropped, so whatever per-thread
+/// state the work function builds (the simulator's scratch machine,
+/// pooled pipeline and decode memo) is reused from one batch to the
+/// next.  Every item runs under `catch_unwind`; a panic becomes that
+/// item's `Err(JobPanic)` and the thread carries on.
+struct SlotPool<T, R> {
+    max: usize,
+    run: Arc<dyn Fn(T) -> R + Send + Sync>,
+    work: Option<Sender<SlotJob<T, R>>>,
+    queue: Arc<Mutex<Receiver<SlotJob<T, R>>>>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl<T: Send + 'static, R: Send + 'static> SlotPool<T, R> {
+    fn new(max: usize, run: impl Fn(T) -> R + Send + Sync + 'static) -> Self {
+        let (work, queue) = mpsc::channel();
+        Self {
+            max: max.max(1),
+            run: Arc::new(run),
+            work: Some(work),
+            queue: Arc::new(Mutex::new(queue)),
+            threads: Vec::new(),
         }
-        let mut last_beat = Instant::now();
-        while results.lock().expect("results lock").len() < lease.cells.len() {
-            std::thread::sleep(Duration::from_millis(5));
-            if last_beat.elapsed() >= heartbeat {
-                // Liveness only; an eviction here surfaces on the next
-                // lease/report call, which re-registers.
-                let _ = client.heartbeat(worker);
-                last_beat = Instant::now();
+    }
+
+    /// Starts threads until the pool holds `min(max, want)`.
+    fn grow(&mut self, want: usize) -> Result<(), ClientError> {
+        while self.threads.len() < want.min(self.max) {
+            let queue = Arc::clone(&self.queue);
+            let run = Arc::clone(&self.run);
+            let thread = std::thread::Builder::new()
+                .name(format!("fleet-slot-{}", self.threads.len()))
+                .spawn(move || loop {
+                    // The guard is a temporary: the lock is released as
+                    // soon as a job arrives, before it runs.
+                    let job = queue.lock().unwrap_or_else(PoisonError::into_inner).recv();
+                    let Ok((index, item, results)) = job else {
+                        break; // the pool closed the work channel
+                    };
+                    let outcome = catch_unwind(AssertUnwindSafe(|| run(item)))
+                        .map_err(|payload| JobPanic::from_payload(payload.as_ref()));
+                    let _ = results.send((index, outcome));
+                })
+                .map_err(ClientError::Io)?;
+            self.threads.push(thread);
+        }
+        Ok(())
+    }
+
+    /// Runs `items` on the slots and returns one outcome per item, in
+    /// item order.  The calling thread blocks on the result channel and
+    /// calls `tick` each time `tick_every` passes without the batch
+    /// finishing.
+    ///
+    /// # Errors
+    ///
+    /// A thread could not be started, or slots died holding work (the
+    /// batch can never complete).
+    fn run(
+        &mut self,
+        items: Vec<T>,
+        tick_every: Duration,
+        mut tick: impl FnMut(),
+    ) -> Result<Vec<Result<R, JobPanic>>, ClientError> {
+        let slots_died = || ClientError::Protocol("simulation slots died mid-lease".to_owned());
+        let n = items.len();
+        self.grow(n)?;
+        let work = self.work.as_ref().expect("work channel open until drop");
+        let (tx, rx) = mpsc::channel();
+        for (index, item) in items.into_iter().enumerate() {
+            work.send((index, item, tx.clone()))
+                .expect("the pool holds the work receiver");
+        }
+        drop(tx);
+
+        let mut outcomes: Vec<Option<Result<R, JobPanic>>> = (0..n).map(|_| None).collect();
+        let mut pending = n;
+        let mut next_tick = Instant::now() + tick_every;
+        while pending > 0 {
+            match rx.recv_timeout(next_tick.saturating_duration_since(Instant::now())) {
+                Ok((index, outcome)) => {
+                    outcomes[index] = Some(outcome);
+                    pending -= 1;
+                }
+                Err(RecvTimeoutError::Timeout) => {
+                    // Every slot gone: the queued jobs (and their result
+                    // senders) sit in a channel no one reads.
+                    if self.threads.iter().all(JoinHandle::is_finished) {
+                        return Err(slots_died());
+                    }
+                    tick();
+                    next_tick = Instant::now() + tick_every;
+                }
+                // Every job's sender dropped with results missing: a slot
+                // died holding one.
+                Err(RecvTimeoutError::Disconnected) => return Err(slots_died()),
             }
         }
-    });
-    let mut results = results.into_inner().expect("results lock");
-    // Deterministic report order regardless of which slot finished first.
-    results.sort_by_key(|r| r.unit);
-    results
+        Ok(outcomes
+            .into_iter()
+            .map(|o| o.expect("every pending item delivered"))
+            .collect())
+    }
+}
+
+impl<T, R> Drop for SlotPool<T, R> {
+    /// Closes the work channel and joins every slot.
+    fn drop(&mut self) {
+        self.work = None;
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
+        }
+    }
 }
 
 /// Simulates (or loads) one leased cell, timing each phase: the store
@@ -377,5 +506,100 @@ pub fn spawn_worker(cfg: WorkerConfig) -> WorkerHandle {
     WorkerHandle {
         stop,
         thread: Some(thread),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+    use std::sync::Barrier;
+    use std::thread::ThreadId;
+
+    const TICK: Duration = Duration::from_millis(10);
+
+    fn ok<R>(outcomes: Vec<Result<R, JobPanic>>) -> Vec<R> {
+        outcomes.into_iter().map(|o| o.expect("no panic")).collect()
+    }
+
+    #[test]
+    fn consecutive_batches_run_on_the_same_threads() {
+        // The barrier forces each two-item batch onto two distinct
+        // threads at once, so both batches use the whole pool.
+        let barrier = Arc::new(Barrier::new(2));
+        let mut pool = SlotPool::new(2, move |(): ()| {
+            barrier.wait();
+            std::thread::current().id()
+        });
+        let first: HashSet<ThreadId> = ok(pool.run(vec![(), ()], TICK, || {}).expect("batch"))
+            .into_iter()
+            .collect();
+        let second: HashSet<ThreadId> = ok(pool.run(vec![(), ()], TICK, || {}).expect("batch"))
+            .into_iter()
+            .collect();
+        assert_eq!(first.len(), 2);
+        assert_eq!(first, second, "warm slots are reused across batches");
+        assert!(!first.contains(&std::thread::current().id()));
+    }
+
+    #[test]
+    fn a_panicking_item_is_an_error_and_the_slot_survives() {
+        let mut pool = SlotPool::new(1, |x: u32| {
+            assert!(x != 13, "unlucky {x}");
+            (x, std::thread::current().id())
+        });
+        let out = pool.run(vec![1, 13, 2], TICK, || {}).expect("batch");
+        assert_eq!(out[0].as_ref().expect("ok").0, 1);
+        let panic = out[1].as_ref().expect_err("item 13 panics");
+        assert_eq!(panic.to_string(), "job panicked: unlucky 13");
+        assert_eq!(out[2].as_ref().expect("ok").0, 2);
+        let slot = out[0].as_ref().expect("ok").1;
+
+        let next = ok(pool.run(vec![3], TICK, || {}).expect("next batch"));
+        assert_eq!(next, vec![(3, slot)], "the same slot ran the next batch");
+        assert_eq!(pool.threads.len(), 1);
+    }
+
+    #[test]
+    fn the_pool_never_exceeds_min_of_slots_and_largest_batch() {
+        let mut pool = SlotPool::new(8, |x: usize| x * 2);
+        assert_eq!(pool.threads.len(), 0, "no thread before the first batch");
+        for (batch, want) in [(3, 3), (2, 3), (5, 5), (1, 5), (8, 8), (11, 8), (4, 8)] {
+            let items: Vec<usize> = (0..batch).collect();
+            let out = ok(pool.run(items, TICK, || {}).expect("batch"));
+            assert_eq!(out, (0..batch).map(|x| x * 2).collect::<Vec<_>>());
+            assert_eq!(pool.threads.len(), want, "after a batch of {batch}");
+        }
+        let mut small = SlotPool::new(3, |x: usize| x);
+        assert_eq!(
+            ok(small.run((0..7).collect(), TICK, || {}).expect("batch")).len(),
+            7
+        );
+        assert_eq!(small.threads.len(), 3);
+    }
+
+    /// A panic payload whose destructor panics again, after
+    /// `catch_unwind` returned: the only way out of a slot's loop short
+    /// of the pool closing.
+    struct SlotKiller;
+
+    impl Drop for SlotKiller {
+        fn drop(&mut self) {
+            panic!("slot killed");
+        }
+    }
+
+    #[test]
+    fn dead_slots_fail_the_batch_instead_of_hanging() {
+        let mut pool = SlotPool::new(1, |kill: bool| {
+            if kill {
+                std::panic::panic_any(SlotKiller);
+            }
+        });
+        let err = pool
+            .run(vec![true, false], TICK, || {})
+            .expect_err("the only slot died with work queued");
+        assert!(err.to_string().contains("slots died"), "{err}");
+        drop(pool); // joins the dead slot without panicking
     }
 }

@@ -195,6 +195,41 @@ fn worker_death_mid_lease_requeues_cells_and_stays_golden() {
     healthy.stop().expect("healthy worker");
 }
 
+/// A lease that runs longer than the liveness window keeps its worker
+/// alive: while the slot simulates, the worker wakes on each heartbeat
+/// deadline and beats, so nothing is evicted or expired and the cell
+/// stays golden.
+#[test]
+fn long_lease_heartbeats_on_schedule() {
+    let server = start_server(fast_fleet(50, 60_000));
+    let mut c = connect(&server);
+    let worker = spawn_worker(worker_config(&server, "slow"));
+    wait_live_workers(&mut c, 1);
+
+    let sub = c
+        .submit(&SweepRequest::by_name("fig5").filter("fig5/mpeg2enc/mmx64/8way"))
+        .expect("submit");
+    let status = c.wait_timeout(sub.id, POLL, TIMEOUT).expect("job finishes");
+    assert_eq!(status.state, simdsim_api::JobState::Done);
+    let result = status.result.expect("result");
+    assert_eq!(result.cells.len(), 1, "the filter names one cell");
+    assert_eq!(result.failed, 0);
+    assert_golden_identical(&result.cells);
+    let phases = result.cells[0].phases.as_ref().expect("phases");
+    assert!(
+        phases.decode_ms + phases.simulate_ms > 150.0,
+        "the cell must outlast three heartbeat intervals to test anything \
+         (took {:.1} ms)",
+        phases.decode_ms + phases.simulate_ms
+    );
+
+    let snapshot = server.metrics_snapshot();
+    assert_eq!(snapshot.fleet_cells_reported, 1);
+    assert_eq!(snapshot.fleet_workers_evicted, 0);
+    assert_eq!(snapshot.fleet_leases_expired, 0);
+    worker.stop().expect("worker");
+}
+
 /// Missing heartbeats evicts a worker: its id answers `unknown_worker`
 /// (404) everywhere, it disappears from the fleet listing, and
 /// re-registering yields a fresh id.

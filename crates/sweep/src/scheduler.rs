@@ -27,6 +27,21 @@ impl std::fmt::Display for JobPanic {
 
 impl std::error::Error for JobPanic {}
 
+impl JobPanic {
+    /// Renders a panic payload (as caught by `catch_unwind`) as text.
+    #[must_use]
+    pub fn from_payload(payload: &(dyn std::any::Any + Send)) -> Self {
+        let message = if let Some(s) = payload.downcast_ref::<&'static str>() {
+            (*s).to_owned()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_owned()
+        };
+        Self { message }
+    }
+}
+
 /// The default worker count: the machine's available parallelism.
 #[must_use]
 pub fn default_workers() -> usize {
@@ -71,12 +86,8 @@ where
             let f = &f;
             s.spawn(move || {
                 while let Some(i) = next_job(queues, w) {
-                    let result =
-                        catch_unwind(AssertUnwindSafe(|| f(&items[i]))).map_err(|payload| {
-                            JobPanic {
-                                message: panic_message(payload.as_ref()),
-                            }
-                        });
+                    let result = catch_unwind(AssertUnwindSafe(|| f(&items[i])))
+                        .map_err(|payload| JobPanic::from_payload(payload.as_ref()));
                     if tx.send((i, result)).is_err() {
                         break;
                     }
@@ -113,16 +124,6 @@ fn next_job(queues: &[Mutex<VecDeque<usize>>], w: usize) -> Option<usize> {
         }
     }
     None
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
 }
 
 #[cfg(test)]

@@ -90,6 +90,13 @@ serve-smoke:
 fleet-smoke:
     ./scripts/fleet-smoke.sh
 
+# The CI benchmark smoke: the benchmark's own unit tests, then a short
+# `fleet_cold` run, which exits 1 on any failed output check — an
+# end-to-end correctness gate on the fleet path (no timing gate).
+perfbench-smoke:
+    cargo test --release --locked --manifest-path perfbench/Cargo.toml
+    cargo run --release --locked --manifest-path perfbench/Cargo.toml -- --workload fleet_cold --seconds 5 --trace 0
+
 # The CI serving-latency gate: fresh self-contained loadgen runs (local
 # pool, then a 2-worker fleet) compared against the committed
 # BENCH_simdsim.json baseline; fails on a >2x p99 regression in either
